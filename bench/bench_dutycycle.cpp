@@ -12,8 +12,10 @@
 //     re-convergence metrics (recovery time after each burst, events in
 //     each recovery span) that the paper's repeated-stabilization claims
 //     are about.
-// Speedup is reported per-machine, never gated: single-core containers
-// show ≈ 1×, the multi-core CI runners demonstrate the scaling.
+// Speedup is reported per-machine with its hardware_threads, never gated.
+// Every row is kTrials interleaved trials (bench_trials.hpp): all-serial
+// and both shard_sched policies run once per trial in rotated order, and
+// the row records the median wall time with its min and max.
 //
 // Results go to stdout (table) and BENCH_dutycycle.json (machine-readable,
 // tracked in-repo so future PRs can diff the perf trajectory;
@@ -27,11 +29,16 @@
 
 #include "harness/metrics.hpp"
 #include "harness/report.hpp"
+#include "bench_trials.hpp"
 #include "harness/runner.hpp"
 #include "sim/duty_world.hpp"
 
 namespace ssbft {
 namespace {
+
+using bench::kTrials;
+using bench::run_interleaved;
+using bench::write_spread;
 
 constexpr std::uint32_t kShards = 4;
 
@@ -87,13 +94,6 @@ struct EngineRun {
   std::size_t migrations = 0;  // engine switches performed (alternating only)
   std::uint64_t migration_ns = 0;  // wall time inside those switches
   std::vector<WindowStabilization> windows;
-
-  /// Wall time actually spent dispatching events, after subtracting the
-  /// engine switches' export → adopt → re-register span.
-  [[nodiscard]] std::uint64_t dispatch_ns() const {
-    const auto wall = std::uint64_t(wall_seconds * 1e9);
-    return wall > migration_ns ? wall - migration_ns : 0;
-  }
 };
 
 EngineRun run_engine(const Scenario& sc) {
@@ -118,19 +118,29 @@ EngineRun run_engine(const Scenario& sc) {
   return out;
 }
 
+using Trials = bench::Trials<EngineRun>;
+
 struct Row {
   std::uint32_t n = 0;
   ShardSched sched = ShardSched::kStatic;
-  EngineRun serial;
-  EngineRun alternating;
-  [[nodiscard]] double speedup() const {
-    return serial.wall_seconds > 0 && alternating.wall_seconds > 0
-               ? serial.wall_seconds / alternating.wall_seconds
-               : 0;
+  Trials serial_trials;
+  Trials alternating_trials;
+  [[nodiscard]] const EngineRun& serial() const { return serial_trials.first; }
+  [[nodiscard]] const EngineRun& alternating() const {
+    return alternating_trials.first;
   }
-  /// The hard gate: run digest, event count, and EVERY per-window
-  /// stabilization digest must match the all-serial twin.
+  [[nodiscard]] double speedup() const {
+    const double serial_s = serial_trials.wall().median;
+    const double alternating_s = alternating_trials.wall().median;
+    return serial_s > 0 && alternating_s > 0 ? serial_s / alternating_s : 0;
+  }
+  /// The hard gate: every trial reproduces its first, and the run digest,
+  /// event count, and EVERY per-window stabilization digest match the
+  /// all-serial twin.
   [[nodiscard]] bool parity() const {
+    if (!serial_trials.stable || !alternating_trials.stable) return false;
+    const EngineRun& serial = this->serial();
+    const EngineRun& alternating = this->alternating();
     if (serial.digest != alternating.digest) return false;
     if (serial.events != alternating.events) return false;
     if (serial.windows.size() != alternating.windows.size()) return false;
@@ -164,53 +174,62 @@ void append_windows_json(std::FILE* out, const EngineRun& run) {
 void print_table() {
   std::printf("\nDuty-cycle engine: recurring chaos, all-serial vs "
               "alternating (%u shards between windows, %u hardware "
-              "threads)\n",
-              kShards, std::thread::hardware_concurrency());
+              "threads, %zu interleaved trials, median)\n",
+              kShards, std::thread::hardware_concurrency(), kTrials);
   Table table({"n", "sched", "windows", "migrations", "events",
                "serial Mev/s", "alternating Mev/s", "speedup",
-               "migration us", "digest parity"});
+               "alternating s min..max", "migration us", "digest parity"});
+  constexpr ShardSched kScheds[] = {ShardSched::kStatic, ShardSched::kSteal};
   std::vector<Row> rows;
   for (const std::uint32_t n : {32u, 128u}) {
-    const EngineRun serial = run_engine(duty_scenario(n, 0));
-    // static pins the configured shard count; balance re-sizes every
-    // stabilization segment from the previous segment's event rate (and
-    // repartitions inside segments) — same parity gate on both.
-    for (const ShardSched sched :
-         {ShardSched::kStatic, ShardSched::kBalance}) {
+    std::vector<Scenario> configs{duty_scenario(n, 0)};
+    for (const ShardSched sched : kScheds) {
+      configs.push_back(duty_scenario(n, kShards, sched));
+    }
+    const std::vector<Trials> runs =
+        run_interleaved<EngineRun>(configs, kTrials, run_engine);
+    for (std::size_t m = 0; m < std::size(kScheds); ++m) {
       Row row;
       row.n = n;
-      row.sched = sched;
-      row.serial = serial;
-      row.alternating = run_engine(duty_scenario(n, kShards, sched));
-      char serial_s[32], alt_s[32], speedup_s[32], mig_s[32];
+      row.sched = kScheds[m];
+      row.serial_trials = runs[0];
+      row.alternating_trials = runs[m + 1];
+      char serial_s[32], alt_s[32], speedup_s[32], range_s[48], mig_s[32];
       std::snprintf(serial_s, sizeof serial_s, "%.2f",
-                    row.serial.events_per_sec / 1e6);
+                    row.serial_trials.events_per_sec() / 1e6);
       std::snprintf(alt_s, sizeof alt_s, "%.2f",
-                    row.alternating.events_per_sec / 1e6);
+                    row.alternating_trials.events_per_sec() / 1e6);
       std::snprintf(speedup_s, sizeof speedup_s, "%.2fx", row.speedup());
-      std::snprintf(mig_s, sizeof mig_s, "%.1f",
-                    double(row.alternating.migration_ns) * 1e-3);
-      table.add_row({std::to_string(n), to_string(sched),
-                     std::to_string(row.alternating.windows.size()),
-                     std::to_string(row.alternating.migrations),
-                     Table::fmt_int(row.serial.events), serial_s, alt_s,
-                     speedup_s, mig_s, row.parity() ? "yes" : "NO — BUG"});
+      std::snprintf(range_s, sizeof range_s, "%.4f..%.4f",
+                    row.alternating_trials.wall().min,
+                    row.alternating_trials.wall().max);
+      std::snprintf(
+          mig_s, sizeof mig_s, "%.1f",
+          double(row.alternating_trials.migration_ns_median()) * 1e-3);
+      table.add_row({std::to_string(n), to_string(row.sched),
+                     std::to_string(row.alternating().windows.size()),
+                     std::to_string(row.alternating().migrations),
+                     Table::fmt_int(row.serial().events), serial_s, alt_s,
+                     speedup_s, range_s, mig_s,
+                     row.parity() ? "yes" : "NO — BUG"});
       rows.push_back(row);
     }
   }
   table.print();
   std::printf("(parity is the hard gate: the alternating run — %zu engine "
               "switches on the first row — must be bit-identical to "
-              "all-serial, per-window digests included.)\n",
-              rows.empty() ? std::size_t{0} : rows.front().alternating.migrations);
+              "all-serial in every trial, per-window digests included.)\n",
+              rows.front().alternating().migrations);
 
   // Per-window stabilization of the multi-cycle row: what the paper's
   // repeated-convergence claims actually measure.
   std::printf("\nStabilization per chaos window (n=%u, alternating):\n",
               rows.front().n);
   Table wt({"window", "chaos (ms)", "recovery (ms)", "events", "digest"});
-  for (std::size_t w = 0; w < rows.front().alternating.windows.size(); ++w) {
-    const WindowStabilization& win = rows.front().alternating.windows[w];
+  const std::vector<WindowStabilization>& windows =
+      rows.front().alternating().windows;
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const WindowStabilization& win = windows[w];
     char span[48], digest[32];
     std::snprintf(span, sizeof span, "[%.1f, %.1f)",
                   double((win.chaos_start - RealTime::zero()).ns()) * 1e-6,
@@ -235,29 +254,40 @@ void print_table() {
     std::fprintf(out, "  \"rows\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
+      // Dispatch time = median wall time minus the engine switches'
+      // export → adopt → re-register span.
+      const std::uint64_t migration_ns =
+          row.alternating_trials.migration_ns_median();
+      const auto wall_ns =
+          std::uint64_t(row.alternating_trials.wall().median * 1e9);
       std::fprintf(out,
                    "    {\"n\": %u, \"sched\": \"%s\", \"windows\": %zu, "
                    "\"migrations\": %zu, \"events\": %llu, "
                    "\"serial_events_per_sec\": %.0f, "
                    "\"alternating_events_per_sec\": %.0f, "
-                   "\"speedup\": %.3f, \"migration_ns\": %llu, "
-                   "\"dispatch_ns\": %llu, \"parity\": %s}%s\n",
+                   "\"speedup\": %.3f, \"trials\": %zu, ",
                    row.n, to_string(row.sched),
-                   row.alternating.windows.size(),
-                   row.alternating.migrations,
-                   static_cast<unsigned long long>(row.serial.events),
-                   row.serial.events_per_sec,
-                   row.alternating.events_per_sec, row.speedup(),
+                   row.alternating().windows.size(),
+                   row.alternating().migrations,
+                   static_cast<unsigned long long>(row.serial().events),
+                   row.serial_trials.events_per_sec(),
+                   row.alternating_trials.events_per_sec(), row.speedup(),
+                   row.alternating_trials.wall_s.size());
+      write_spread(out, "serial_wall_s", row.serial_trials.wall());
+      std::fprintf(out, ", ");
+      write_spread(out, "alternating_wall_s", row.alternating_trials.wall());
+      std::fprintf(out,
+                   ", \"migration_ns\": %llu, \"dispatch_ns\": %llu, "
+                   "\"parity\": %s}%s\n",
+                   static_cast<unsigned long long>(migration_ns),
                    static_cast<unsigned long long>(
-                       row.alternating.migration_ns),
-                   static_cast<unsigned long long>(
-                       row.alternating.dispatch_ns()),
+                       wall_ns > migration_ns ? wall_ns - migration_ns : 0),
                    row.parity() ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
     std::fprintf(out, "  \"stabilization_windows\": [\n");
-    append_windows_json(out, rows.front().alternating);
+    append_windows_json(out, rows.front().alternating());
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);
     std::printf("(wrote BENCH_dutycycle.json)\n");

@@ -1,18 +1,19 @@
 // bench_shard — serial World vs sharded (conservative-parallel) engine on
-// one big run, across every shard scheduling policy.
+// one big run, under both shard scheduling policies.
 //
 // SweepRunner parallelizes ACROSS runs; the sharded engine parallelizes
-// WITHIN one run, which is what the "millions of users" workload needs.
-// This bench deploys the agreement stack at n ∈ {32, 128, 512} with a
-// 100 µs delay floor (the lookahead λ) and measures events/sec through the
-// serial engine and through S = 4 shards under each shard_sched policy
-// (static blocks, cost-aware balance, deterministic work stealing, lax
-// windows), verifying on every row that the two engines produced
-// bit-identical run digests — parity is the hard gate, speedup is reported
-// per-machine (single-core containers show ≈ 1×; the multi-core CI runners
-// demonstrate the scaling). Each sharded row also reports the scheduler's
-// own health metrics: per-window imbalance (max/min worker dispatches),
-// repartition count, and steal count. A post-chaos stabilization row per
+// WITHIN one run. This bench deploys the agreement stack at
+// n ∈ {32, 128, 512} with a 100 µs delay floor (the lookahead λ) and
+// measures events/sec through the serial engine and through S = 4 shards
+// under each shard_sched policy (static blocks; static blocks plus
+// deterministic work stealing), verifying on every row that the two
+// engines produced bit-identical run digests — parity is the hard gate,
+// speedup is reported per-machine with its hardware_threads. Every row is
+// kTrials interleaved trials (bench_trials.hpp): the serial baseline and
+// both policies run once per trial in rotated order, and the row records
+// the median wall time with its min and max. Each sharded row also reports
+// the scheduler's own health metrics: per-window imbalance (max/min worker
+// dispatches) and steal count. A post-chaos stabilization row per
 // policy exercises the alternating engine (serial chaos window → windowed
 // suffix, sim/duty_world.hpp) on the scramble + chaos + agreement-storm
 // workload, splitting its wall time into migration (export/adopt) vs
@@ -34,18 +35,22 @@
 #include "harness/metrics.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
+#include "bench_trials.hpp"
 #include "sim/duty_world.hpp"
 #include "sim/shard_world.hpp"
 
 namespace ssbft {
 namespace {
 
+using bench::kTrials;
+using bench::run_interleaved;
+using bench::write_spread;
+
 constexpr std::uint32_t kShards = 4;
 
-/// Every scheduling policy of the windowed engine, benched side by side on
+/// Both scheduling policies of the windowed engine, benched side by side on
 /// identical scenarios — the digests must agree across the whole column.
-constexpr ShardSched kModes[] = {ShardSched::kStatic, ShardSched::kBalance,
-                                 ShardSched::kSteal, ShardSched::kLax};
+constexpr ShardSched kModes[] = {ShardSched::kStatic, ShardSched::kSteal};
 
 /// Simulated horizon per n. One agreement costs Θ(n²·f) relay messages
 /// (~3M at n = 128, ~10⁸ at n = 512), so the big rows measure the engine's
@@ -141,13 +146,6 @@ struct EngineRun {
   std::uint32_t shards = 1;
   ShardSchedStats sched;       // windowed-engine scheduler health
   std::uint64_t migration_ns = 0;  // engine-switch cost (alternating only)
-
-  /// Wall time actually spent dispatching, after subtracting the engine
-  /// switches' export/adopt/re-register span.
-  [[nodiscard]] std::uint64_t dispatch_ns() const {
-    const auto wall = std::uint64_t(wall_seconds * 1e9);
-    return wall > migration_ns ? wall - migration_ns : 0;
-  }
 };
 
 EngineRun run_engine(const Scenario& sc) {
@@ -173,18 +171,22 @@ EngineRun run_engine(const Scenario& sc) {
   return out;
 }
 
+using Trials = bench::Trials<EngineRun>;
+
 struct Row {
   std::uint32_t n = 0;
   ShardSched mode = ShardSched::kStatic;
-  EngineRun serial;
-  EngineRun sharded;
+  Trials serial;
+  Trials sharded;
   [[nodiscard]] double speedup() const {
-    return serial.wall_seconds > 0 && sharded.wall_seconds > 0
-               ? serial.wall_seconds / sharded.wall_seconds
-               : 0;
+    const double serial_s = serial.wall().median;
+    const double sharded_s = sharded.wall().median;
+    return serial_s > 0 && sharded_s > 0 ? serial_s / sharded_s : 0;
   }
   [[nodiscard]] bool parity() const {
-    return serial.digest == sharded.digest && serial.events == sharded.events;
+    return serial.stable && sharded.stable &&
+           serial.first.digest == sharded.first.digest &&
+           serial.first.events == sharded.first.events;
   }
 };
 
@@ -194,39 +196,68 @@ std::string fmt2(double v) {
   return buf;
 }
 
+/// The serial baseline plus one sharded run per policy, interleaved over
+/// `trials` trials; one row per policy.
+template <typename MakeScenario>
+std::vector<Row> policy_rows(std::uint32_t n, std::size_t trials,
+                             MakeScenario&& make) {
+  std::vector<Scenario> configs{make(0u, ShardSched::kStatic)};
+  for (const ShardSched mode : kModes) configs.push_back(make(kShards, mode));
+  const std::vector<Trials> runs =
+      run_interleaved<EngineRun>(configs, trials, run_engine);
+  std::vector<Row> rows;
+  for (std::size_t m = 0; m < std::size(kModes); ++m) {
+    Row row;
+    row.n = n;
+    row.mode = kModes[m];
+    row.serial = runs[0];
+    row.sharded = runs[m + 1];
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+/// Trial count plus the serial and sharded wall-time spreads (no trailing
+/// separator).
+void write_trials(std::FILE* out, const Row& row) {
+  std::fprintf(out, "\"trials\": %zu, ", row.sharded.wall_s.size());
+  write_spread(out, "serial_wall_s", row.serial.wall());
+  std::fprintf(out, ", ");
+  write_spread(out, "sharded_wall_s", row.sharded.wall());
+}
+
 void print_table() {
-  std::printf("\nShard engine: one big run, serial vs %u shards × every "
-              "shard_sched policy (lookahead 100 us, %u hardware threads)\n",
-              kShards, std::thread::hardware_concurrency());
+  std::printf("\nShard engine: one big run, serial vs %u shards × each "
+              "shard_sched policy (lookahead 100 us, %u hardware threads, "
+              "%zu interleaved trials, median)\n",
+              kShards, std::thread::hardware_concurrency(), kTrials);
   Table table({"n", "sched", "events", "serial Mev/s", "sharded Mev/s",
-               "speedup", "imb mean", "repart", "steals", "digest parity"});
+               "speedup", "sharded s min..max", "imb mean", "steals",
+               "digest parity"});
   std::vector<Row> rows;
   for (const std::uint32_t n : {32u, 128u, 512u}) {
-    const EngineRun serial =
-        run_engine(shard_bench_scenario(n, 0, ShardSched::kStatic));
-    for (const ShardSched mode : kModes) {
-      Row row;
-      row.n = n;
-      row.mode = mode;
-      row.serial = serial;
-      row.sharded = run_engine(shard_bench_scenario(n, kShards, mode));
-      table.add_row({std::to_string(n), to_string(mode),
-                     Table::fmt_int(row.serial.events),
-                     fmt2(row.serial.events_per_sec / 1e6),
-                     fmt2(row.sharded.events_per_sec / 1e6),
+    for (const Row& row :
+         policy_rows(n, kTrials, [n](std::uint32_t shards, ShardSched mode) {
+           return shard_bench_scenario(n, shards, mode);
+         })) {
+      table.add_row({std::to_string(n), to_string(row.mode),
+                     Table::fmt_int(row.serial.first.events),
+                     fmt2(row.serial.events_per_sec() / 1e6),
+                     fmt2(row.sharded.events_per_sec() / 1e6),
                      fmt2(row.speedup()) + "x",
-                     fmt2(row.sharded.sched.imbalance_mean()),
-                     std::to_string(row.sharded.sched.repartitions),
-                     std::to_string(row.sharded.sched.steals),
+                     fmt2(row.sharded.wall().min) + ".." +
+                         fmt2(row.sharded.wall().max),
+                     fmt2(row.sharded.first.sched.imbalance_mean()),
+                     std::to_string(row.sharded.first.sched.steals),
                      row.parity() ? "yes" : "NO — BUG"});
       rows.push_back(row);
     }
   }
   table.print();
   std::printf("(parity is the hard gate: a sharded run must be bit-identical "
-              "to its serial twin under every policy; speedup is "
-              "machine-dependent. imb mean = per-window max/min worker "
-              "dispatches.)\n");
+              "to its serial twin under both policies and in every trial; "
+              "speedup is machine-dependent. imb mean = per-window max/min "
+              "worker dispatches, first trial.)\n");
 
   // Post-chaos stabilization workload: the alternating engine
   // (serial chaos window -> windowed suffix) vs all-serial, on the
@@ -237,35 +268,31 @@ void print_table() {
               "both engines; the alternating engine shards the suffix)\n",
               static_cast<long long>(kChaosMs));
   Table chaos_table({"n", "sched", "events", "serial Mev/s", "two-phase Mev/s",
-                     "speedup", "migration us", "imb mean", "repart",
-                     "digest parity"});
-  std::vector<Row> chaos_rows;
+                     "speedup", "two-phase s min..max", "migration us",
+                     "imb mean", "digest parity"});
   const std::uint32_t chaos_n = 128;
-  const EngineRun chaos_serial =
-      run_engine(chaos_bench_scenario(chaos_n, 0, ShardSched::kStatic));
-  for (const ShardSched mode : kModes) {
-    Row row;
-    row.n = chaos_n;
-    row.mode = mode;
-    row.serial = chaos_serial;
-    row.sharded = run_engine(chaos_bench_scenario(chaos_n, kShards, mode));
-    chaos_table.add_row({std::to_string(row.n), to_string(mode),
-                         Table::fmt_int(row.serial.events),
-                         fmt2(row.serial.events_per_sec / 1e6),
-                         fmt2(row.sharded.events_per_sec / 1e6),
-                         fmt2(row.speedup()) + "x",
-                         fmt2(double(row.sharded.migration_ns) * 1e-3),
-                         fmt2(row.sharded.sched.imbalance_mean()),
-                         std::to_string(row.sharded.sched.repartitions),
-                         row.parity() ? "yes" : "NO — BUG"});
-    chaos_rows.push_back(row);
+  const std::vector<Row> chaos_rows = policy_rows(
+      chaos_n, kTrials, [](std::uint32_t shards, ShardSched mode) {
+        return chaos_bench_scenario(chaos_n, shards, mode);
+      });
+  for (const Row& row : chaos_rows) {
+    chaos_table.add_row(
+        {std::to_string(row.n), to_string(row.mode),
+         Table::fmt_int(row.serial.first.events),
+         fmt2(row.serial.events_per_sec() / 1e6),
+         fmt2(row.sharded.events_per_sec() / 1e6), fmt2(row.speedup()) + "x",
+         fmt2(row.sharded.wall().min) + ".." + fmt2(row.sharded.wall().max),
+         fmt2(double(row.sharded.migration_ns_median()) * 1e-3),
+         fmt2(row.sharded.first.sched.imbalance_mean()),
+         row.parity() ? "yes" : "NO — BUG"});
   }
   chaos_table.print();
 
   // Scale pin: n = 4096 on the federated overlay, serial vs sharded, with
-  // the process peak RSS recorded alongside throughput. bench_check.py
-  // gates both against the committed baseline (throughput floor, 2x RSS
-  // ceiling) and hard-fails on parity.
+  // the process peak RSS recorded alongside throughput. One trial: each
+  // run takes about a minute. bench_check.py gates both against the
+  // committed baseline (throughput floor, 2x RSS ceiling) and hard-fails
+  // on parity.
   std::printf("\nLarge-n scale pin (n = %u, federated overlay, cluster size "
               "%u, %u us slice of the broadcast storm)\n",
               kLargeN, kLargeClusterSize, 1800u);
@@ -274,16 +301,20 @@ void print_table() {
                      "digest parity"});
   Row large_row;
   large_row.n = kLargeN;
-  large_row.mode = ShardSched::kStatic;
-  large_row.serial = run_engine(large_n_scenario(0, ShardSched::kStatic));
-  large_row.sharded =
-      run_engine(large_n_scenario(kShards, ShardSched::kStatic));
+  {
+    const std::vector<Trials> runs = run_interleaved<EngineRun>(
+        {large_n_scenario(0, ShardSched::kStatic),
+         large_n_scenario(kShards, ShardSched::kStatic)},
+        1, run_engine);
+    large_row.serial = runs[0];
+    large_row.sharded = runs[1];
+  }
   const std::uint64_t large_rss_kb = peak_rss_kb();
   large_table.add_row(
       {std::to_string(large_row.n), "federated/64",
-       Table::fmt_int(large_row.serial.events),
-       fmt2(large_row.serial.events_per_sec / 1e6),
-       fmt2(large_row.sharded.events_per_sec / 1e6),
+       Table::fmt_int(large_row.serial.first.events),
+       fmt2(large_row.serial.events_per_sec() / 1e6),
+       fmt2(large_row.sharded.events_per_sec() / 1e6),
        fmt2(large_row.speedup()) + "x",
        Table::fmt_int(large_rss_kb / 1024),
        large_row.parity() ? "yes" : "NO — BUG"});
@@ -306,17 +337,19 @@ void print_table() {
                    "    {\"n\": %u, \"sched\": \"%s\", \"events\": %llu, "
                    "\"serial_events_per_sec\": %.0f, "
                    "\"sharded_events_per_sec\": %.0f, "
-                   "\"speedup\": %.3f, \"imbalance_mean\": %.3f, "
-                   "\"imbalance_max\": %.3f, \"repartitions\": %llu, "
-                   "\"steals\": %llu, \"parity\": %s}%s\n",
+                   "\"speedup\": %.3f, ",
                    row.n, to_string(row.mode),
-                   static_cast<unsigned long long>(row.serial.events),
-                   row.serial.events_per_sec, row.sharded.events_per_sec,
-                   row.speedup(), row.sharded.sched.imbalance_mean(),
-                   row.sharded.sched.imbalance_max,
+                   static_cast<unsigned long long>(row.serial.first.events),
+                   row.serial.events_per_sec(), row.sharded.events_per_sec(),
+                   row.speedup());
+      write_trials(out, row);
+      std::fprintf(out,
+                   ", \"imbalance_mean\": %.3f, \"imbalance_max\": %.3f, "
+                   "\"steals\": %llu, \"parity\": %s}%s\n",
+                   row.sharded.first.sched.imbalance_mean(),
+                   row.sharded.first.sched.imbalance_max,
                    static_cast<unsigned long long>(
-                       row.sharded.sched.repartitions),
-                   static_cast<unsigned long long>(row.sharded.sched.steals),
+                       row.sharded.first.sched.steals),
                    row.parity() ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }
@@ -324,29 +357,34 @@ void print_table() {
     std::fprintf(out, "  \"post_chaos_stabilization\": [\n");
     for (std::size_t i = 0; i < chaos_rows.size(); ++i) {
       const Row& row = chaos_rows[i];
+      // Dispatch time = median wall time minus the engine switches'
+      // export/adopt/re-register span.
+      const std::uint64_t migration_ns = row.sharded.migration_ns_median();
+      const auto wall_ns = std::uint64_t(row.sharded.wall().median * 1e9);
       std::fprintf(out,
                    "    {\"n\": %u, \"sched\": \"%s\", \"chaos_ms\": %lld, "
                    "\"events\": %llu, "
                    "\"serial_events_per_sec\": %.0f, "
                    "\"sharded_events_per_sec\": %.0f, "
-                   "\"speedup\": %.3f, \"migration_ns\": %llu, "
-                   "\"dispatch_ns\": %llu, \"imbalance_mean\": %.3f, "
-                   "\"repartitions\": %llu, \"parity\": %s}%s\n",
+                   "\"speedup\": %.3f, ",
                    row.n, to_string(row.mode),
                    static_cast<long long>(kChaosMs),
-                   static_cast<unsigned long long>(row.serial.events),
-                   row.serial.events_per_sec, row.sharded.events_per_sec,
-                   row.speedup(),
-                   static_cast<unsigned long long>(row.sharded.migration_ns),
-                   static_cast<unsigned long long>(row.sharded.dispatch_ns()),
-                   row.sharded.sched.imbalance_mean(),
+                   static_cast<unsigned long long>(row.serial.first.events),
+                   row.serial.events_per_sec(), row.sharded.events_per_sec(),
+                   row.speedup());
+      write_trials(out, row);
+      std::fprintf(out,
+                   ", \"migration_ns\": %llu, \"dispatch_ns\": %llu, "
+                   "\"imbalance_mean\": %.3f, \"parity\": %s}%s\n",
+                   static_cast<unsigned long long>(migration_ns),
                    static_cast<unsigned long long>(
-                       row.sharded.sched.repartitions),
+                       wall_ns > migration_ns ? wall_ns - migration_ns : 0),
+                   row.sharded.first.sched.imbalance_mean(),
                    row.parity() ? "true" : "false",
                    i + 1 < chaos_rows.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
-    // The map-based protocol cores this PR's flat structures replaced,
+    // The map-based protocol cores the flat-state structures replaced,
     // measured on the n = 512 row at the commit that still carried them.
     // bench_check.py compares the fresh n = 512 serial throughput against
     // this pin (>= 1.2x) when hardware_threads match.
@@ -363,9 +401,9 @@ void print_table() {
                  "\"speedup\": %.3f, \"peak_rss_kb\": %llu, "
                  "\"parity\": %s}\n",
                  large_row.n, kLargeClusterSize, to_string(large_row.mode),
-                 static_cast<unsigned long long>(large_row.serial.events),
-                 large_row.serial.events_per_sec,
-                 large_row.sharded.events_per_sec, large_row.speedup(),
+                 static_cast<unsigned long long>(large_row.serial.first.events),
+                 large_row.serial.events_per_sec(),
+                 large_row.sharded.events_per_sec(), large_row.speedup(),
                  static_cast<unsigned long long>(large_rss_kb),
                  large_row.parity() ? "true" : "false");
     std::fprintf(out, "}\n");
@@ -394,7 +432,6 @@ BENCHMARK(BM_ShardEngine)
     ->Args({32, 0, std::int64_t(ShardSched::kStatic)})
     ->Args({32, kShards, std::int64_t(ShardSched::kStatic)})
     ->Args({32, kShards, std::int64_t(ShardSched::kSteal)})
-    ->Args({32, kShards, std::int64_t(ShardSched::kLax)})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -46,8 +46,8 @@ class StatsRegistry {
 };
 
 /// Snapshot every statistic the deployed engine exposes: run totals, wire
-/// counters, shard-scheduler stats (executor- and owner-attributed
-/// imbalance), duty-cycle migration counts/costs, serial-engine queue depth
+/// counters, shard-scheduler stats (windows, imbalance, steals),
+/// duty-cycle migration counts/costs, serial-engine queue depth
 /// and timer-wheel occupancy, and tracer health when tracing is on.
 [[nodiscard]] StatsRegistry collect_run_stats(Cluster& cluster);
 

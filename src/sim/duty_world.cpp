@@ -1,8 +1,6 @@
 #include "sim/duty_world.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "harness/trace.hpp"
@@ -50,8 +48,6 @@ DutyWorld::DutyWorld(WorldConfig config,
     serial_->enable_handoff_export();
     serial_->network().set_faulty_windows(windows_);
   } else {
-    // No previous segment to rate-estimate from: the opening sharded
-    // segment always uses the configured count.
     sharded_ = std::make_unique<ShardWorld>(config_);
     sharded_->enable_handoff_export();
     segment_shards_.push_back(sharded_->shard_count());
@@ -80,7 +76,13 @@ NodeBehavior* DutyWorld::behavior(NodeId id) { return active().behavior(id); }
 void DutyWorld::start() { active().start(); }
 
 void DutyWorld::fire_action(std::uint64_t seq) {
-  auto node = actions_.extract(seq);
+  // During a sharded segment actions fire on the shard workers, so two
+  // may retire from the registry at once.
+  decltype(actions_)::node_type node;
+  {
+    const std::lock_guard<std::mutex> lock(actions_mutex_);
+    node = actions_.extract(seq);
+  }
   SSBFT_ASSERT(!node.empty());
   node.mapped().action();
 }
@@ -108,11 +110,7 @@ void DutyWorld::migrate_to(RealTime cut) {
     WorldMigration m = serial_->export_migration();
     serial_.reset();
     wall_export = std::chrono::steady_clock::now();
-    // Adaptive policies size the stabilization segment's shard count from
-    // the chaos segment's event rate; static keeps the configured count.
-    WorldConfig wc = config_;
-    wc.shards = segment_shard_count(cut, m.dispatched);
-    sharded_ = std::make_unique<ShardWorld>(std::move(wc), std::move(m), more);
+    sharded_ = std::make_unique<ShardWorld>(config_, std::move(m), more);
     segment_shards_.push_back(sharded_->shard_count());
   } else {
     // Reverse direction: merge the shards back into one snapshot, adopt
@@ -171,29 +169,6 @@ void DutyWorld::migrate_to(RealTime cut) {
                           TraceLayer::kEngine});
   }
 #endif
-  // Rate-estimation bookkeeping: the next segment starts at this cut.
-  segment_dispatch_base_ = dispatched();
-  segment_start_ = cut;
-}
-
-std::uint32_t DutyWorld::segment_shard_count(RealTime cut,
-                                             std::uint64_t dispatched_now) {
-  if (config_.shard_sched == ShardSched::kStatic) return config_.shards;
-  const std::uint32_t max_shards = ShardWorld::effective_shards(config_);
-  const std::int64_t elapsed = cut.ns() - segment_start_.ns();
-  // Upcoming segment length: to the next cut, or (open-ended tail) assume
-  // the previous segment's length. All inputs are simulation state, so the
-  // choice is identical on every host — determinism survives.
-  const std::int64_t upcoming =
-      (cursor_ < cuts_.size() ? cuts_[cursor_].ns() : cut.ns() + elapsed) -
-      cut.ns();
-  if (elapsed <= 0 || upcoming <= 0) return max_shards;
-  const double rate =
-      double(dispatched_now - segment_dispatch_base_) / double(elapsed);
-  const double expected = rate * double(upcoming);
-  const double ideal = std::ceil(expected / double(kEventsPerSegmentShard));
-  return std::uint32_t(
-      std::clamp(ideal, 1.0, double(max_shards)));
 }
 
 void DutyWorld::cross_cuts_until(RealTime t) {

@@ -41,6 +41,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "sim/shard_world.hpp"
@@ -70,9 +71,8 @@ class DutyWorld final : public WorldBase {
   /// action re-registration, run_before (dispatch) excluded. The benches
   /// split alternation cost into migration vs dispatch with this.
   [[nodiscard]] std::uint64_t migration_ns() const { return migration_ns_; }
-  /// Shard count chosen for each sharded segment, in order. Under an
-  /// adaptive shard_sched the count follows the previous segment's event
-  /// rate; static runs always use the configured count.
+  /// Shard count of each sharded segment, in order — always the
+  /// configured (effective) count, under either shard_sched policy.
   [[nodiscard]] const std::vector<std::uint32_t>& segment_shards() const {
     return segment_shards_;
   }
@@ -118,19 +118,8 @@ class DutyWorld final : public WorldBase {
   [[nodiscard]] EventQueue& queue() override;
 
  private:
-  /// Adaptive segment sizing: aim for about this many dispatched events
-  /// per shard per stabilization segment — fewer and the barrier overhead
-  /// dominates, more and a single segment under-parallelizes.
-  static constexpr std::uint64_t kEventsPerSegmentShard = 2000;
-
   [[nodiscard]] WorldBase& active();
   [[nodiscard]] const WorldBase& active() const;
-
-  /// Shard count for the segment starting at `cut`, from the PREVIOUS
-  /// segment's event rate (pure simulation state — deterministic). Static
-  /// scheduling keeps the configured count.
-  [[nodiscard]] std::uint32_t segment_shard_count(RealTime cut,
-                                                  std::uint64_t dispatched_now);
 
   /// Cross one boundary: drain the active engine strictly before `cut`,
   /// export, adopt on the other engine, and re-register the surviving
@@ -148,9 +137,6 @@ class DutyWorld final : public WorldBase {
   std::uint64_t migration_ns_ = 0;             // export/adopt wall time
   ShardSchedStats sched_total_;                // retired segments' counters
   std::vector<std::uint32_t> segment_shards_;  // per sharded segment
-  // Previous-segment event-rate inputs for adaptive sizing.
-  std::uint64_t segment_dispatch_base_ = 0;
-  RealTime segment_start_{};
 
   // Exactly one engine is live at a time; which one flips at every cut.
   std::unique_ptr<World> serial_;
@@ -160,8 +146,11 @@ class DutyWorld final : public WorldBase {
   // the active engine minted (deterministic iteration order). An action
   // unregisters itself when it runs; whatever remains at a cut is
   // re-registered on the adopting engine under its original key — the map
-  // keeps the original closures because migrations can recur.
+  // keeps the original closures because migrations can recur. The mutex
+  // guards retirement from shard workers (fire_action); registration and
+  // re-registration run in serial phases.
   std::map<std::uint64_t, WorldMigration::PendingAction> actions_;
+  std::mutex actions_mutex_;
 };
 
 }  // namespace ssbft

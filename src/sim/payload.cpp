@@ -1,5 +1,7 @@
 #include "sim/payload.hpp"
 
+#include <vector>
+
 #include "util/assert.hpp"
 
 namespace ssbft {
@@ -19,6 +21,12 @@ std::uint64_t payload_fnv(const void* data, std::size_t size) {
   return h;
 }
 
+PayloadPool::~PayloadPool() {
+  for (std::uint32_t k = 0; k < chunk_count_; ++k) {
+    delete[] chunks_[k].load(std::memory_order_relaxed);
+  }
+}
+
 std::uint32_t PayloadPool::acquire(const void* data, std::uint32_t size) {
   SSBFT_EXPECTS(size > 0);
   std::uint32_t index;
@@ -28,15 +36,18 @@ std::uint32_t PayloadPool::acquire(const void* data, std::uint32_t size) {
       index = free_head_;
       free_head_ = slot(index).next_free;
     } else {
-      chunks_.push_back(std::make_unique<Chunk>());
-      const std::uint32_t base =
-          std::uint32_t(chunks_.size() - 1) * kSlotChunk;
-      // Thread slots [base+1, base+kSlotChunk) onto the free list; hand
+      const std::uint32_t k = chunk_count_++;
+      SSBFT_EXPECTS(k < kMaxChunks);  // 2^32 − 64 slots: never in practice
+      const std::uint32_t count = chunk_slots(k);
+      Slot* chunk = new Slot[count];
+      // Thread slots [1, count) onto the free list before publishing; hand
       // out the first one.
-      for (std::uint32_t i = kSlotChunk; i-- > 1;) {
-        slot(base + i).next_free = free_head_;
+      const std::uint32_t base = kFirstChunk * ((1u << k) - 1);
+      for (std::uint32_t i = count; i-- > 1;) {
+        chunk[i].next_free = free_head_;
         free_head_ = base + i;
       }
+      chunks_[k].store(chunk, std::memory_order_release);
       index = base;
     }
     Slot& s = slot(index);
@@ -69,13 +80,16 @@ void PayloadPool::add_ref(std::uint32_t index) {
 void PayloadPool::release(std::uint32_t index) {
   Slot& s = slot(index);
   if (s.refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // Read the size while the slot is still ours: once it is on the free
+  // list another thread's acquire() may refill it.
+  const std::uint32_t size = s.size;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     s.next_free = free_head_;
     free_head_ = index;
   }
   live_.fetch_sub(1, std::memory_order_relaxed);
-  resident_bytes_.fetch_sub(s.size, std::memory_order_relaxed);
+  resident_bytes_.fetch_sub(size, std::memory_order_relaxed);
 }
 
 const std::uint8_t* PayloadPool::data(std::uint32_t index) const {

@@ -13,19 +13,22 @@
 //
 // Thread-safety: slot acquisition/free-listing is mutex-guarded and
 // refcounts are atomic, because shard workers copy and destroy handles
-// concurrently (mailbox pushes, event-closure moves, barrier drains). The
+// concurrently (mailbox pushes, event-closure moves, barrier drains). Slot
+// lookup takes no lock: the chunk directory is fixed-size and never moves,
+// and each chunk is published once with a release store. The
 // bytes themselves are immutable once acquired — corrupting a payload
 // (sim/network.hpp chaos) clones a fresh slot instead of mutating a shared
 // one. Slot indices are an allocation-order artifact and are never
 // observable; everything digest-visible (size, bytes, checksum) is content.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 namespace ssbft {
 
@@ -36,6 +39,11 @@ class PayloadPool;
 
 class PayloadPool {
  public:
+  PayloadPool() = default;
+  PayloadPool(const PayloadPool&) = delete;
+  PayloadPool& operator=(const PayloadPool&) = delete;
+  ~PayloadPool();
+
   /// Copy `size` bytes into a pool slot (refs = 1) and return its index.
   /// The only place payload bytes are ever copied into the pool.
   [[nodiscard]] std::uint32_t acquire(const void* data, std::uint32_t size);
@@ -67,10 +75,9 @@ class PayloadPool {
   }
 
  private:
-  // Chunked, address-stable slabs recycled through a free list (the same
-  // layout as the event queue's closure slab): growth never relocates a
-  // live slot, and a warm pool performs no allocation. Slot byte buffers
-  // are kept across reuse when large enough.
+  // Chunked, address-stable slabs recycled through a free list: growth
+  // never relocates a live slot, and a warm pool performs no allocation.
+  // Slot byte buffers are kept across reuse when large enough.
   struct Slot {
     std::atomic<std::uint32_t> refs{0};
     std::uint32_t size = 0;
@@ -80,20 +87,28 @@ class PayloadPool {
     std::unique_ptr<std::uint8_t[]> bytes;
   };
   static constexpr std::uint32_t kNullSlot = ~std::uint32_t{0};
-  static constexpr std::uint32_t kSlotChunk = 64;
-  struct Chunk {
-    Slot slots[kSlotChunk];
-  };
+  // Chunk k holds kFirstChunk·2^k slots, so chunk k covers the indices
+  // [kFirstChunk·(2^k − 1), kFirstChunk·(2^(k+1) − 1)) and 26 chunks span
+  // all but the top 64 of the u32 index space. The directory is a fixed
+  // array: growth fills the next entry and never moves the ones readers
+  // are using.
+  static constexpr std::uint32_t kFirstChunkLog2 = 6;
+  static constexpr std::uint32_t kFirstChunk = 1u << kFirstChunkLog2;
+  static constexpr std::uint32_t kMaxChunks = 32 - kFirstChunkLog2;
 
-  [[nodiscard]] Slot& slot(std::uint32_t index) {
-    return chunks_[index / kSlotChunk]->slots[index % kSlotChunk];
+  [[nodiscard]] static std::uint32_t chunk_slots(std::uint32_t k) {
+    return kFirstChunk << k;
   }
-  [[nodiscard]] const Slot& slot(std::uint32_t index) const {
-    return chunks_[index / kSlotChunk]->slots[index % kSlotChunk];
+  [[nodiscard]] Slot& slot(std::uint32_t index) const {
+    const std::uint64_t biased = std::uint64_t(index) + kFirstChunk;
+    const auto k = std::uint32_t(std::bit_width(biased)) - 1 - kFirstChunkLog2;
+    Slot* chunk = chunks_[k].load(std::memory_order_acquire);
+    return chunk[biased - (std::uint64_t(kFirstChunk) << k)];
   }
 
-  mutable std::mutex mutex_;  // guards chunks_ growth and the free list
-  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::mutex mutex_;  // guards chunk growth and the free list
+  std::array<std::atomic<Slot*>, kMaxChunks> chunks_{};
+  std::uint32_t chunk_count_ = 0;  // chunks allocated (under mutex_)
   std::uint32_t free_head_ = kNullSlot;
   std::atomic<std::uint32_t> live_{0};
   std::atomic<std::uint64_t> bytes_copied_{0};

@@ -8,6 +8,8 @@
 
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "harness/metrics.hpp"
 #include "harness/sweep.hpp"
@@ -90,6 +92,41 @@ TEST(PayloadTest, PatternedPayloadIsDeterministic) {
   const Payload b = make_patterned_payload(300, 0xdeadbeef);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.checksum(), payload_fnv(b.data(), b.size()));
+}
+
+// Several threads mint pooled payloads at once — the pool keeps growing —
+// while each reads back bodies it already holds. Slot lookup takes no lock,
+// so it must never touch storage that growth can move (TSan pins this).
+TEST(PayloadTest, ConcurrentMintAndReadBackWhilePoolGrows) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kPerThread = 4000;
+  constexpr std::uint32_t kBytes = 128;
+  const std::uint32_t live_before = payload_pool().live();
+  std::vector<std::uint32_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      std::vector<Payload> held;
+      held.reserve(kPerThread);
+      for (std::uint32_t i = 0; i < kPerThread; ++i) {
+        held.push_back(make_patterned_payload(kBytes, t * kPerThread + i));
+        const Payload back = held[i / 2];  // add_ref + data on an older slot
+        if (payload_fnv(back.data(), back.size()) != back.checksum()) {
+          ++mismatches[t];
+        }
+      }
+      for (std::uint32_t i = 0; i < kPerThread; ++i) {
+        if (!(held[i] == make_patterned_payload(kBytes, t * kPerThread + i))) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+  EXPECT_EQ(payload_pool().live(), live_before);
 }
 
 // --- Authenticator units ----------------------------------------------------

@@ -26,8 +26,8 @@ committed in the repository:
     baseline warns and below ``--fail-ratio`` fails.
   * ``imbalance_mean`` (per-window max/min worker dispatches from the
     shard scheduler) fails when the fresh value is both > 2× the
-    baseline and > 1.2 — a cost-aware policy that stopped balancing is
-    a silent perf regression even when throughput wobble hides it.
+    baseline and > 1.2 — a scheduler whose work spread got worse is a
+    silent perf regression even when throughput wobble hides it.
   * ``peak_rss_kb`` (the large-n scale pin's process high-water mark)
     fails above 2× the baseline: memory is the other axis the flat-state
     refactor is accountable for, and a doubled footprint at n = 4096

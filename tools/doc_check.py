@@ -15,6 +15,10 @@ Two checks, both stdlib-only so CI runs this straight from the checkout:
     ships undocumented is invisible; a doc that drifts from the binary
     misleads. The same check runs for any extra binaries passed via
     repeated ``--cli``.
+  * every ``test_*`` name in the "pinned by" column of the invariant
+    table in docs/ARCHITECTURE.md must exist, as ``tests/<name>.cpp`` or
+    as an ``add_test(NAME <name> ...)`` in CMakeLists.txt. A pin that
+    names a test nobody can run pins nothing.
 
 Usage:
   tools/doc_check.py --root . --cli build/tools/ssbft_cli
@@ -38,6 +42,11 @@ FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 # Directory names never scanned for markdown (build trees, VCS internals).
 SKIP_DIRS = {".git", ".github"}
+# The invariant table whose last column names the pinning tests.
+INVARIANT_DOC = os.path.join("docs", "ARCHITECTURE.md")
+INVARIANT_HEADING = "## One invariant per subsystem"
+TEST_NAME_RE = re.compile(r"\btest_[a-z0-9_]+")
+CTEST_NAME_RE = re.compile(r"add_test\(\s*NAME\s+([A-Za-z0-9_]+)")
 
 
 def markdown_files(root):
@@ -111,6 +120,48 @@ def check_flag_sync(cli_name, help_text, corpus):
     return problems
 
 
+def known_tests(root):
+    """Test names that exist: tests/test_*.cpp stems plus every
+    add_test(NAME ...) in the top-level CMakeLists.txt."""
+    names = set()
+    tests_dir = os.path.join(root, "tests")
+    if os.path.isdir(tests_dir):
+        names.update(name[:-len(".cpp")] for name in os.listdir(tests_dir)
+                     if name.endswith(".cpp"))
+    cmake = os.path.join(root, "CMakeLists.txt")
+    if os.path.exists(cmake):
+        with open(cmake, encoding="utf-8") as f:
+            names.update(CTEST_NAME_RE.findall(f.read()))
+    return names
+
+
+def check_invariant_pins(root):
+    """Every test_* name in the invariant table's last column must be a
+    known test. No table (or no doc) means nothing to check."""
+    doc = os.path.join(root, INVARIANT_DOC)
+    if not os.path.exists(doc):
+        return []
+    with open(doc, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    if INVARIANT_HEADING not in lines:
+        return []
+    known = known_tests(root)
+    problems = []
+    in_table = False
+    for line in lines[lines.index(INVARIANT_HEADING) + 1:]:
+        if line.startswith("|"):
+            in_table = True
+            pinned_by = line.strip().strip("|").rsplit("|", 1)[-1]
+            for name in TEST_NAME_RE.findall(pinned_by):
+                if name not in known:
+                    problems.append(
+                        f"{INVARIANT_DOC}: invariant pinned by {name}, "
+                        f"but no tests/{name}.cpp or ctest {name} exists")
+        elif in_table:
+            break
+    return problems
+
+
 def run_help(cli_path):
     """Run ``<cli> --help``; return (exit_ok, combined output)."""
     try:
@@ -126,6 +177,7 @@ def run_help(cli_path):
 
 def run_gate(args):
     problems = check_links(args.root)
+    problems.extend(check_invariant_pins(args.root))
     corpus = docs_corpus(args.root)
     for cli_path in args.cli:
         ok, text = run_help(cli_path)
@@ -139,7 +191,8 @@ def run_gate(args):
     if problems:
         print(f"doc_check: {len(problems)} problem(s)")
         return 1
-    print("doc_check: all links resolve, all CLI flags documented")
+    print("doc_check: all links resolve, all CLI flags documented, all "
+          "invariant pins exist")
     return 0
 
 
@@ -196,6 +249,33 @@ def self_test():
             f.write("restored\n")
         checks.append(("gate exits zero when clean",
                        main(["--root", root]) == 0))
+
+    with tempfile.TemporaryDirectory() as root:
+        # 6. Invariant pins: a test source and a ctest-only name both count
+        #    as real; a fictitious test name fails the gate.
+        os.makedirs(os.path.join(root, "docs"))
+        os.makedirs(os.path.join(root, "tests"))
+        with open(os.path.join(root, "tests", "test_real.cpp"), "w") as f:
+            f.write("// a test\n")
+        with open(os.path.join(root, "CMakeLists.txt"), "w") as f:
+            f.write("add_test(NAME test_ctest_only COMMAND x)\n")
+        table = ("# Arch\n\n" + INVARIANT_HEADING + "\n\n"
+                 "| subsystem | invariant | pinned by |\n"
+                 "| --- | --- | --- |\n"
+                 "| queue | ordered | `test_real` (`QueueTest`) |\n"
+                 "| tool | exits | `test_ctest_only` |\n")
+        doc = os.path.join(root, INVARIANT_DOC)
+        with open(doc, "w") as f:
+            f.write(table + "\nProse naming test_elsewhere is not a pin.\n")
+        checks.append(("real invariant pins pass",
+                       check_invariant_pins(root) == []))
+        with open(doc, "w") as f:
+            f.write(table + "| world | replayable | `test_imaginary` |\n")
+        problems = check_invariant_pins(root)
+        checks.append(("fictitious invariant pin caught",
+                       len(problems) == 1 and "test_imaginary" in problems[0]))
+        checks.append(("gate exits non-zero on a fictitious pin",
+                       main(["--root", root]) == 1))
 
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:
